@@ -1,11 +1,13 @@
 // mcs_perf — reproducible simulator-throughput driver (see
 // bench/perf_harness.hpp and DESIGN.md §9).
 //
-//   mcs_perf                   full scenarios, 3 repeats, BENCH_PR3.json
+//   mcs_perf                   full scenarios, 3 repeats, JSON report on
+//                              stdout (the table goes to stderr then)
 //   mcs_perf --smoke           CI-sized phases (~seconds total)
 //   mcs_perf --repeats=5       more repeats for quieter numbers
 //   mcs_perf --scenario=<id>   run one scenario only
-//   mcs_perf --out=<path>      report path ("" or "-" prints to stdout only)
+//   mcs_perf --out=<path>      write the report to a file instead ("-":
+//                              stdout, the default; "": no report)
 //   mcs_perf --baseline=<path> fail (exit 1) on events/sec regression
 //   mcs_perf --tolerance=0.2   allowed fractional drop vs the baseline
 //   mcs_perf --speedup-floor=X fail (exit 1) when the large-system pair's
@@ -28,10 +30,12 @@
 //                              (falls back to env MCS_LOG_LEVEL)
 //
 // Reports carry a RunManifest (git describe, compiler, flags, host,
-// wall/CPU time, peak RSS), so a committed BENCH_PR3.json says exactly
-// what produced it.
+// wall/CPU time, peak RSS), so a committed BENCH_PR<N>.json says exactly
+// what produced it. No report file is written unless --out names one, so
+// a run never overwrites a committed history point.
 #include <cstdio>
 #include <exception>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,7 +55,9 @@ int run(const mcs::util::Args& args) {
   const bool smoke = args.get_flag("smoke");
   const int repeats = static_cast<int>(args.get_int("repeats", 3));
   const std::string only = args.get("scenario", "");
-  const std::string out_path = args.get("out", "BENCH_PR3.json");
+  const std::string out_path = args.get("out", "-");
+  // Human-readable output moves to stderr when the report takes stdout.
+  std::FILE* const text = out_path == "-" ? stderr : stdout;
   const std::string baseline = args.get("baseline", "");
   const double tolerance = args.get_double("tolerance", 0.2);
   const double speedup_floor = args.get_double("speedup-floor", 0.0);
@@ -94,16 +100,16 @@ int run(const mcs::util::Args& args) {
       static_cast<int>(std::thread::hardware_concurrency());
   report.manifest = mcs::obs::RunManifest::begin();
 
-  std::printf("%-22s %10s %10s %12s %12s %9s\n", "scenario", "events",
-              "worms", "events/s", "worms/s", "best(s)");
+  std::fprintf(text, "%-22s %10s %10s %12s %12s %9s\n", "scenario",
+               "events", "worms", "events/s", "worms/s", "best(s)");
   for (const mcs::bench::PerfScenario& scenario : scenarios) {
     const mcs::bench::PerfMeasurement m =
         mcs::bench::measure(scenario, repeats);
-    std::printf("%-22s %10llu %10llu %12.0f %12.0f %9.4f%s\n",
-                m.id.c_str(), static_cast<unsigned long long>(m.events),
-                static_cast<unsigned long long>(m.worms), m.events_per_sec,
-                m.worms_per_sec, m.best_seconds,
-                m.saturated ? "  [SATURATED]" : "");
+    std::fprintf(text, "%-22s %10llu %10llu %12.0f %12.0f %9.4f%s\n",
+                 m.id.c_str(), static_cast<unsigned long long>(m.events),
+                 static_cast<unsigned long long>(m.worms), m.events_per_sec,
+                 m.worms_per_sec, m.best_seconds,
+                 m.saturated ? "  [SATURATED]" : "");
     report.measurements.push_back(m);
   }
 
@@ -193,7 +199,7 @@ int run(const mcs::util::Args& args) {
         const mcs::exp::ExplainReport drill = mcs::exp::build_explain(
             "mcs_explain " + scenario.id, scenario.lambda, &anatomies[i],
             &breakdown);
-        std::printf("\n%s", mcs::exp::render_explain(drill).c_str());
+        std::fprintf(text, "\n%s", mcs::exp::render_explain(drill).c_str());
       }
     }
     if (!probe_out.empty()) {
@@ -202,7 +208,7 @@ int run(const mcs::util::Args& args) {
       for (std::size_t i = 0; i < scenarios.size(); ++i)
         series.push_back({scenarios[i].id, &probe_series[i]});
       mcs::obs::write_probe_file(probe_out, series);
-      std::printf("wrote %s\n", probe_out.c_str());
+      std::fprintf(text, "wrote %s\n", probe_out.c_str());
     }
     if (!trace_out.empty()) {
       std::vector<const mcs::obs::TraceBuffer*> buffers;
@@ -210,7 +216,7 @@ int run(const mcs::util::Args& args) {
       for (const mcs::obs::TraceBuffer& buffer : trace_buffers)
         buffers.push_back(&buffer);
       mcs::obs::write_trace_file(trace_out, buffers);
-      std::printf("wrote %s\n", trace_out.c_str());
+      std::fprintf(text, "wrote %s\n", trace_out.c_str());
     }
   }
 
@@ -236,22 +242,24 @@ int run(const mcs::util::Args& args) {
   if (large_seq != nullptr && large_par != nullptr &&
       large_seq->events_per_sec > 0.0) {
     speedup = large_par->events_per_sec / large_seq->events_per_sec;
-    std::printf("parallel speedup (large_system_par4 / large_system_seq): "
-                "%.2fx on %d core(s)\n",
-                speedup, report.threads_available);
+    std::fprintf(text,
+                 "parallel speedup (large_system_par4 / large_system_seq): "
+                 "%.2fx on %d core(s)\n",
+                 speedup, report.threads_available);
   }
 
   // Compare BEFORE writing: with --out and --baseline naming the same
-  // file (e.g. both defaulting to a committed BENCH_PR3.json), writing
-  // first would overwrite the reference and the gate would compare the
-  // run against itself.
+  // file (e.g. a committed BENCH_PR<N>.json), writing first would
+  // overwrite the reference and the gate would compare the run against
+  // itself.
   std::vector<std::string> violations;
   if (!baseline.empty())
     violations = mcs::bench::compare_to_baseline(report, baseline, tolerance);
   if (speedup_floor > 0.0) {
     if (report.threads_available < 4) {
-      std::printf("speedup gate skipped: %d core(s) available, need >= 4\n",
-                  report.threads_available);
+      std::fprintf(text,
+                   "speedup gate skipped: %d core(s) available, need >= 4\n",
+                   report.threads_available);
     } else if (speedup <= 0.0) {
       violations.emplace_back(
           "--speedup-floor set but the large_system_seq/large_system_par4 "
@@ -265,9 +273,12 @@ int run(const mcs::util::Args& args) {
       violations.emplace_back(msg);
     }
   }
-  if (!out_path.empty() && out_path != "-") {
+  if (out_path == "-") {
+    std::fflush(text);
+    mcs::bench::write_report_json(report, std::cout);
+  } else if (!out_path.empty()) {
     mcs::bench::write_report_json_file(report, out_path);
-    std::printf("wrote %s\n", out_path.c_str());
+    std::fprintf(text, "wrote %s\n", out_path.c_str());
   }
 
   if (!violations.empty()) {
@@ -276,8 +287,8 @@ int run(const mcs::util::Args& args) {
     return 1;
   }
   if (!baseline.empty())
-    std::printf("baseline check passed (tolerance %.0f%%, %s)\n",
-                100.0 * tolerance, baseline.c_str());
+    std::fprintf(text, "baseline check passed (tolerance %.0f%%, %s)\n",
+                 100.0 * tolerance, baseline.c_str());
   return 0;
 }
 

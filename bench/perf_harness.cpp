@@ -199,12 +199,14 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
       m.worms = result.worms_spawned;
       m.latency_mean = result.latency.mean;
       m.saturated = result.saturated;
+      m.queue = result.queue;
     } else {
       // Same seed + same code must replay the same simulation exactly;
       // a divergence means the build is unsound for benchmarking.
       MCS_ASSERT(m.events == result.events_processed);
       MCS_ASSERT(m.worms == result.worms_spawned);
       MCS_ASSERT(m.latency_mean == result.latency.mean);
+      MCS_ASSERT(m.queue == result.queue);
     }
     m.best_seconds = std::min(m.best_seconds, seconds);
   }
@@ -237,6 +239,13 @@ void write_report_json(const PerfReport& report, std::ostream& out) {
     out << "      \"latency_mean\": " << m.latency_mean << ",\n";
     out << "      \"saturated\": " << (m.saturated ? "true" : "false")
         << ",\n";
+    out << "      \"queue\": {\"generate_pushes\": "
+        << m.queue.generate_pushes
+        << ", \"direct_pushes\": " << m.queue.direct_pushes
+        << ", \"lane_pushes\": " << m.queue.lane_pushes
+        << ", \"run_pushes\": " << m.queue.run_pushes
+        << ", \"pops\": " << m.queue.pops
+        << ", \"peak_size\": " << m.queue.peak_size << "},\n";
     out << "      \"probe_decimations\": " << m.probe_decimations << ",\n";
     out << "      \"trace_dropped\": " << m.trace_dropped << "\n";
     out << "    }" << (i + 1 < report.measurements.size() ? "," : "")

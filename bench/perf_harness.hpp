@@ -8,10 +8,10 @@
 // cross-checks that every repeat delivered the identical event count — a
 // throughput number from a diverged simulation is meaningless.
 //
-// The JSON report (BENCH_PR3.json) is both the human-facing record and the
-// CI regression baseline: `compare_to_baseline` re-reads a committed
-// report and flags any scenario whose events/sec dropped by more than the
-// tolerance.
+// The JSON report (a committed BENCH_PR<N>.json) is both the human-facing
+// record and the CI regression baseline: `compare_to_baseline` re-reads a
+// committed report and flags any scenario whose events/sec dropped by more
+// than the tolerance.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +54,8 @@ struct PerfMeasurement {
   double worms_per_sec = 0.0;
   double latency_mean = 0.0;      ///< result checksum, not a perf number
   bool saturated = false;
+  /// Pending-event set counters of one repeat (identical across repeats).
+  sim::EventQueueCounters queue;
   /// Flight-recorder health of the untimed instrumented pass (mcs_perf
   /// --probe-out / --trace-out / --explain): how often the probe buffer
   /// decimated and how many trace events were dropped. -1 = the pass did

@@ -50,10 +50,22 @@ constexpr std::size_t kMaxFixedDrain =
 
 }  // namespace
 
+std::uint16_t service_class(std::vector<double>& distinct, double service) {
+  auto it = std::find(distinct.begin(), distinct.end(), service);
+  if (it == distinct.end()) {
+    MCS_EXPECTS(distinct.size() <= std::numeric_limits<std::uint16_t>::max());
+    distinct.push_back(service);
+    it = distinct.end() - 1;
+  }
+  return static_cast<std::uint16_t>(it - distinct.begin());
+}
+
 WormholeEngine::WormholeEngine(std::vector<double> channel_service,
                                int message_flits, EventQueue& queue,
-                               Listener& listener, FlowControl flow_control)
+                               Listener& listener, FlowControl flow_control,
+                               std::vector<std::uint16_t> channel_class)
     : service_(std::move(channel_service)),
+      class_(std::move(channel_class)),
       flits_(message_flits),
       flow_control_(flow_control),
       queue_(queue),
@@ -62,13 +74,22 @@ WormholeEngine::WormholeEngine(std::vector<double> channel_service,
   MCS_EXPECTS(flits_ >= 1);
   MCS_EXPECTS(service_.size() <=
               static_cast<std::size_t>(EventQueue::kMaxPayload));
-  crossing_.resize(service_.size());
-  for (std::size_t c = 0; c < service_.size(); ++c)
-    crossing_[c] = flow_control_ == FlowControl::kWormhole
-                       ? service_[c]
-                       : flits_ * service_[c];
-  busy_time_.assign(service_.size(), 0.0);
-  traversals_.assign(service_.size(), 0);
+  if (class_.empty()) {
+    std::vector<double> distinct;
+    class_.reserve(service_.size());
+    for (const double s : service_)
+      class_.push_back(service_class(distinct, s));
+  }
+  MCS_EXPECTS(class_.size() == service_.size());
+  for (std::size_t c = 0; c < service_.size(); ++c) {
+    if (class_[c] >= class_crossing_.size())
+      class_crossing_.resize(class_[c] + std::size_t{1}, 0.0);
+    class_crossing_[class_[c]] = flow_control_ == FlowControl::kWormhole
+                                     ? service_[c]
+                                     : flits_ * service_[c];
+  }
+  lane_base_ = queue_.add_lanes(class_crossing_.size());
+  queue_.set_run_capacity(stride_ + 1);
   drain_svc_.resize(stride_);
   drain_prev_.resize(stride_);
   drain_mid_.resize(stride_);
@@ -76,6 +97,10 @@ WormholeEngine::WormholeEngine(std::vector<double> channel_service,
 }
 
 void WormholeEngine::enable_channel_stats() {
+  if (!stats_enabled_) {
+    busy_time_.assign(service_.size(), 0.0);
+    traversals_.assign(service_.size(), 0);
+  }
   stats_enabled_ = true;
   window_start_ = std::numeric_limits<double>::infinity();
 }
@@ -115,6 +140,8 @@ void WormholeEngine::grow_stride(std::int32_t needed_len) {
   path_pool_ = std::move(path);
   acquire_pool_ = std::move(acquire);
   stride_ = new_stride;
+  // A drain publishes one release per hop plus the worm's completion.
+  queue_.set_run_capacity(stride_ + 1);
   drain_svc_.resize(stride_);
   drain_prev_.resize(stride_);
   drain_mid_.resize(stride_);
@@ -217,13 +244,15 @@ void WormholeEngine::acquire(WormId id, double now) {
   MCS_ASSERT(ch.holder == Worm::kNoWorm);
   ch.holder = id;
   acquire_pool_[row(id) + hop] = now;
+  const std::uint16_t k = class_[static_cast<std::size_t>(c)];
+  const double at = now + class_crossing_[k];
   if (port_ != nullptr && w.hop + 1 < w.len &&
       !port_->local_channel(path_pool_[row(id) + hop + 1])) {
     // The next channel belongs to another partition. Ship the worm NOW,
     // timestamped one crossing ahead — the receiver requests the remote
     // channel exactly when the header would reach it, and the crossing is
     // the conservative lookahead that keeps the rounds safe.
-    port_->handoff(id, now + crossing_[static_cast<std::size_t>(c)]);
+    port_->handoff(id, at);
     if (flow_control_ == FlowControl::kWormhole) {
       // The channels held here keep their (now stale) holder until the
       // remote finish_header sends their releases back; the row itself
@@ -236,9 +265,9 @@ void WormholeEngine::acquire(WormId id, double now) {
     w.flags |= Worm::kMigrated;
   }
   // Wormhole: the header crosses in one flit time. Store-and-forward: the
-  // entire message crosses before anything else happens (see crossing_).
-  queue_.push(now + crossing_[static_cast<std::size_t>(c)],
-              EventKind::kHeaderAdvance, id);
+  // entire message crosses before anything else happens (see
+  // class_crossing_).
+  queue_.push_lane(lane_base_ + k, at, EventKind::kHeaderAdvance, id);
 }
 
 void WormholeEngine::handle(const Event& event) {
@@ -371,16 +400,20 @@ void WormholeEngine::finish_header(WormId id, double now) {
     }
   }
 
-  // Release channel j when the tail finishes crossing it. Releases are
-  // non-decreasing in j; the worm is done when the tail crosses the last
-  // channel. The max() guards the M == path-length edge case where a
-  // release could precede this event (see the header comment).
+  // Release channel j when the tail finishes crossing it; the worm is
+  // done when the tail crosses the last channel. The max() guards the
+  // M == path-length edge case where a release could precede this event
+  // (see the header comment). The releases form one sorted run: the
+  // recurrence computes prev[j+1] = max(prev[j] + svc[j], ...) with the
+  // very operands of release j, so release j+1 >= prev[j+1] >= release j,
+  // and `done` is their maximum.
   double done = now;
+  queue_.open_run();
   for (std::size_t j = 0; j < hops; ++j) {
     const double rel = std::max(prev[j] + svc[j], now);
     account(path[j], acquire[j], rel);
     if (port_ == nullptr || port_->local_channel(path[j]))
-      queue_.push(rel, EventKind::kRelease, path[j]);
+      queue_.push_run(rel, EventKind::kRelease, path[j]);
     else
       // A hop acquired before the worm migrated here: its owner frees it.
       // With M >= path + 1 flits the drain recurrence guarantees
@@ -389,7 +422,8 @@ void WormholeEngine::finish_header(WormId id, double now) {
       port_->remote_release(path[j], rel);
     done = std::max(done, rel);
   }
-  queue_.push(done, EventKind::kWormDone, id);
+  queue_.push_run(done, EventKind::kWormDone, id);
+  queue_.close_run();
 }
 
 void WormholeEngine::release(GlobalChannelId c, double now) {

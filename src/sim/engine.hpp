@@ -65,6 +65,12 @@ struct Worm {
   static constexpr std::uint8_t kPendingRequest = 2;
 };
 
+/// Index of `service` among the `distinct` service times seen so far,
+/// appending it when new: the crossing class of a channel with that
+/// service time (see WormholeEngine's constructor).
+[[nodiscard]] std::uint16_t service_class(std::vector<double>& distinct,
+                                          double service);
+
 class WormholeEngine {
  public:
   /// Receives worm-completion notifications (tail fully at endpoint).
@@ -104,9 +110,14 @@ class WormholeEngine {
   };
 
   /// `channel_service[c]` is the flit transfer time of global channel c.
+  /// `channel_class[c]` indexes c's value among the distinct service
+  /// times (SimLayout::service_class, classified once per network); each
+  /// class gets one FIFO lane of header advances in `queue`. Empty: the
+  /// classes are derived here, channel by channel.
   WormholeEngine(std::vector<double> channel_service, int message_flits,
                  EventQueue& queue, Listener& listener,
-                 FlowControl flow_control = FlowControl::kWormhole);
+                 FlowControl flow_control = FlowControl::kWormhole,
+                 std::vector<std::uint16_t> channel_class = {});
 
   /// Attach the partition boundary (parallel mode only; call before any
   /// spawn). The port must outlive the engine.
@@ -163,21 +174,22 @@ class WormholeEngine {
   /// — the exact per-hop term the acquire/advance events are scheduled
   /// with, so observers can re-derive hop boundaries bit-exactly.
   [[nodiscard]] double crossing_time(GlobalChannelId c) const {
-    return crossing_[static_cast<std::size_t>(c)];
+    return class_crossing_[class_[static_cast<std::size_t>(c)]];
   }
 
   // --- channel statistics (enable before running) -------------------------
 
-  /// Turn on per-channel busy-time and traversal accounting. Nothing is
-  /// accumulated until set_stats_window_start() opens the window (the
-  /// simulator opens it when the warm-up phase ends).
+  /// Turn on per-channel busy-time and traversal accounting (the
+  /// counters are allocated here, not before). Nothing is accumulated
+  /// until set_stats_window_start() opens the window (the simulator opens
+  /// it when the warm-up phase ends). Both accessors read 0 while off.
   void enable_channel_stats();
   void set_stats_window_start(double t) { window_start_ = t; }
   [[nodiscard]] double busy_time(GlobalChannelId c) const {
-    return busy_time_[static_cast<std::size_t>(c)];
+    return stats_enabled_ ? busy_time_[static_cast<std::size_t>(c)] : 0.0;
   }
   [[nodiscard]] std::uint64_t traversals(GlobalChannelId c) const {
-    return traversals_[static_cast<std::size_t>(c)];
+    return stats_enabled_ ? traversals_[static_cast<std::size_t>(c)] : 0;
   }
   [[nodiscard]] std::size_t channel_count() const {
     return service_.size();
@@ -208,10 +220,15 @@ class WormholeEngine {
   void retire_row(WormId id);
 
   std::vector<double> service_;
-  /// Header-crossing time per channel: service_[c] under wormhole,
-  /// flits_ * service_[c] under store-and-forward — precomputed so
-  /// acquire() pays neither the branch nor the multiply.
-  std::vector<double> crossing_;
+  /// Crossing class per channel (see the constructor) and each class's
+  /// header-crossing time: the class's service time under wormhole,
+  /// flits_ times it under store-and-forward — precomputed so acquire()
+  /// pays neither the branch nor the multiply. The header advances of
+  /// class k go to FIFO lane lane_base_ + k: pushed at now + a constant
+  /// with `now` never decreasing, they arrive in time order.
+  std::vector<std::uint16_t> class_;
+  std::vector<double> class_crossing_;
+  EventQueue::LaneId lane_base_ = 0;
   int flits_;
   FlowControl flow_control_;
   EventQueue& queue_;

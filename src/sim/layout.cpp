@@ -49,7 +49,9 @@ SimLayout build_layout(const topo::MultiClusterTopology& topology,
         "path (see DESIGN.md)");
 
   layout.service.resize(static_cast<std::size_t>(base));
+  layout.service_class.resize(static_cast<std::size_t>(base));
   layout.channel_net.assign(static_cast<std::size_t>(base), 0);
+  std::vector<double> distinct;  // service times classified so far
   for (std::size_t n = 0; n < layout.nets.size(); ++n) {
     const Net& net = layout.nets[n];
     // The owning network's technology decides the channel timing: cluster
@@ -61,14 +63,15 @@ SimLayout build_layout(const topo::MultiClusterTopology& topology,
                                    : cfg.cluster_params(net.cluster, params);
     const double tcn = np.t_cn();
     const double tcs = np.t_cs();
+    const std::uint16_t kcn = service_class(distinct, tcn);
+    const std::uint16_t kcs = service_class(distinct, tcs);
     for (std::size_t c = 0; c < net.net->channel_count(); ++c) {
       const auto g = static_cast<std::size_t>(net.base) + c;
       layout.channel_net[g] = static_cast<std::int32_t>(n);
-      layout.service[g] =
-          topo::is_node_link(
-              net.net->channel(static_cast<topo::ChannelId>(c)).kind)
-              ? tcn
-              : tcs;
+      const bool node_link = topo::is_node_link(
+          net.net->channel(static_cast<topo::ChannelId>(c)).kind);
+      layout.service[g] = node_link ? tcn : tcs;
+      layout.service_class[g] = node_link ? kcn : kcs;
     }
   }
   return layout;

@@ -68,6 +68,10 @@ struct SimLayout {
   GlobalChannelId icn2_base = 0;
   int max_path_len = 0;  ///< longest worm path (queue/pool size hints)
   std::vector<double> service;
+  /// Global channel -> index of its service time among the distinct ones
+  /// (the engine's crossing classes, DESIGN.md §9.2). Classified once per
+  /// network, which has exactly two values: t_cn and t_cs.
+  std::vector<std::uint16_t> service_class;
 
   [[nodiscard]] std::size_t channel_count() const { return service.size(); }
 };

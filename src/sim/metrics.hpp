@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/probe.hpp"
+#include "sim/event_queue.hpp"
 #include "topology/fat_tree.hpp"
 #include "util/stats.hpp"
 
@@ -62,6 +63,11 @@ struct SimResult {
   double end_time = 0.0;
   std::uint64_t events_processed = 0;
   std::uint64_t worms_spawned = 0;
+  /// Pending-event set counters (pushes per source kind, pops, peak
+  /// size). Deterministic integers; in parallel mode the partitions'
+  /// pushes and pops are summed and peak_size is the largest partition's.
+  /// Kept out of sweep rows (their stable JSON is digest-pinned).
+  EventQueueCounters queue;
 
   /// Initial-transient deletion (SimConfig::warmup_deletion): measured
   /// messages excluded from the latency statistics beyond the fixed

@@ -58,7 +58,7 @@ struct ParallelSimulator::Partition {
         node_base(base),
         node_count(count),
         engine(sim.layout_.service, sim.params_.message_flits, queue, hooks,
-               sim.config_.flow_control),
+               sim.config_.flow_control, sim.layout_.service_class),
         sampler(sim.topology_, sim.config_.pattern) {
     hooks.self = &sim;
     hooks.p = idx;
@@ -66,8 +66,7 @@ struct ParallelSimulator::Partition {
     routes.init(sim.topology_, sim.layout_);
     engine.reserve_worms(256, sim.layout_.max_path_len);
     queue.enable_generate_lane(static_cast<std::size_t>(count));
-    queue.reserve(static_cast<std::size_t>(count) +
-                  256 * static_cast<std::size_t>(sim.layout_.max_path_len + 2));
+    queue.reserve(256 * static_cast<std::size_t>(sim.layout_.max_path_len + 2));
     per_cluster_count.assign(
         static_cast<std::size_t>(sim.partition_count_), 0);
     out.resize(static_cast<std::size_t>(sim.partition_count_));
@@ -691,6 +690,13 @@ SimResult ParallelSimulator::run() {
     delivered += up->delivered_measured;
     events += up->events;
     spawned += up->engine.total_spawned();
+    const EventQueueCounters q = up->queue.counters();
+    result.queue.generate_pushes += q.generate_pushes;
+    result.queue.direct_pushes += q.direct_pushes;
+    result.queue.lane_pushes += q.lane_pushes;
+    result.queue.run_pushes += q.run_pushes;
+    result.queue.pops += q.pops;
+    result.queue.peak_size = std::max(result.queue.peak_size, q.peak_size);
   }
 
   result.latency = latency.interval();

@@ -39,7 +39,7 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
                             config_.flow_control);
       }()),
       engine_(layout_.service, params_.message_flits, queue_, *this,
-              config_.flow_control),
+              config_.flow_control, layout_.service_class),
       sampler_(topology_, config_.pattern),
       latency_(config_.batch_size),
       internal_latency_(config_.batch_size),
@@ -76,14 +76,13 @@ Simulator::Simulator(const topo::MultiClusterTopology& topology,
   routes_.init(topology_, layout_);
 
   // Pre-size the hot pools: recycled worm rows for the expected number of
-  // concurrently live worms, and the pending-event heap's high-water mark
-  // (the standing kGenerate event per node plus the in-flight worm events
-  // — a worm contributes one pending event while advancing and a burst of
+  // concurrently live worms, the generate lane (one standing kGenerate
+  // event per node) and the worm side's high-water mark (a worm
+  // contributes one pending event while advancing and a run of
   // path-length + 1 at drain time).
   engine_.reserve_worms(256, layout_.max_path_len);
   queue_.enable_generate_lane(static_cast<std::size_t>(n));
-  queue_.reserve(static_cast<std::size_t>(n) +
-                 256 * static_cast<std::size_t>(layout_.max_path_len + 2));
+  queue_.reserve(256 * static_cast<std::size_t>(layout_.max_path_len + 2));
 
   waiting_cap_ = config_.max_waiting_worms > 0
                      ? config_.max_waiting_worms
@@ -234,6 +233,7 @@ SimResult Simulator::run() {
   result.end_time = now;
   result.events_processed = events_processed_;
   result.worms_spawned = engine_.total_spawned();
+  result.queue = queue_.counters();
   for (const auto& m : per_cluster_) {
     result.per_cluster_latency.push_back(m.mean());
     result.per_cluster_count.push_back(static_cast<std::int64_t>(m.count()));

@@ -135,6 +135,46 @@ TEST(Engine, ChannelStatsAccountBusyTime) {
   EXPECT_GT(engine.busy_time(1), flits * t - 1e-9);
 }
 
+TEST(Engine, ChannelStatsReadZeroWhenOff) {
+  EventQueue queue;
+  DoneCapture capture;
+  WormholeEngine engine({0.5, 0.5}, 4, queue, capture);
+  capture.engine = &engine;
+  engine.spawn(0, std::vector<GlobalChannelId>{0, 1}, 0.0);
+  run_all(queue, engine);
+  EXPECT_EQ(engine.traversals(0), 0u);
+  EXPECT_EQ(engine.busy_time(1), 0.0);
+}
+
+TEST(Engine, GivenCrossingClassesMatchDerivedOnes) {
+  // Classes handed in (as SimLayout::service_class does) and classes the
+  // engine derives from the service values must schedule identically.
+  const std::vector<double> service = {0.3, 0.9, 0.9, 0.3, 0.9};
+  for (const FlowControl fc :
+       {FlowControl::kWormhole, FlowControl::kStoreAndForward}) {
+    EventQueue q1;
+    EventQueue q2;
+    DoneCapture c1;
+    DoneCapture c2;
+    WormholeEngine derived(service, 6, q1, c1, fc);
+    WormholeEngine given(service, 6, q2, c2, fc, {1, 0, 0, 1, 0});
+    c1.engine = &derived;
+    c2.engine = &given;
+    for (std::int32_t m = 0; m < 4; ++m) {
+      const std::vector<GlobalChannelId> path = {m % 2, 2, 3, 4};
+      derived.spawn(m, path, 0.25 * m);
+      given.spawn(m, path, 0.25 * m);
+    }
+    for (GlobalChannelId c = 0; c < 5; ++c)
+      EXPECT_EQ(derived.crossing_time(c), given.crossing_time(c));
+    run_all(q1, derived);
+    run_all(q2, given);
+    EXPECT_EQ(c1.done, c2.done);
+    EXPECT_EQ(c1.acquires, c2.acquires);
+    EXPECT_EQ(q1.counters(), q2.counters());
+  }
+}
+
 TEST(EngineDeathTest, PathLongerThanMessageIsRejected) {
   EventQueue queue;
   DoneCapture capture;

@@ -158,5 +158,40 @@ TEST(SimGolden, WormholeCutThroughRelay) {
             "events=41632 gen=2200 nint=703 next=1297");
 }
 
+/// The pending-event set's operation counts of one run. Pure functions
+/// of the event stream, so they are pinned exactly like the results; a
+/// change that moves them moved which source an event travels through.
+std::string queue_fingerprint(const topo::SystemConfig& system,
+                              SimConfig cfg) {
+  topo::MultiClusterTopology topology(system);
+  model::NetworkParams params;
+  Simulator sim(topology, params, 2e-4, std::move(cfg));
+  const SimResult r = sim.run();
+  // Every popped event is processed, and nothing else is.
+  EXPECT_EQ(r.queue.pops, r.events_processed);
+  const EventQueueCounters& q = r.queue;
+  return "generate=" + std::to_string(q.generate_pushes) +
+         " direct=" + std::to_string(q.direct_pushes) +
+         " lane=" + std::to_string(q.lane_pushes) +
+         " run=" + std::to_string(q.run_pushes) +
+         " pops=" + std::to_string(q.pops) +
+         " peak=" + std::to_string(q.peak_size);
+}
+
+TEST(SimGolden, PendingSetCountersWormholeFatTree) {
+  EXPECT_EQ(queue_fingerprint(tree_system(), golden_config()),
+            "generate=2232 direct=0 lane=18616 run=23658 pops=44474 "
+            "peak=56");
+}
+
+TEST(SimGolden, PendingSetCountersStoreAndForwardFatTree) {
+  // Store-and-forward completes worms with a direct push.
+  SimConfig cfg = golden_config();
+  cfg.flow_control = FlowControl::kStoreAndForward;
+  EXPECT_EQ(queue_fingerprint(tree_system(), std::move(cfg)),
+            "generate=2232 direct=5042 lane=18616 run=0 pops=25858 "
+            "peak=38");
+}
+
 }  // namespace
 }  // namespace mcs::sim
