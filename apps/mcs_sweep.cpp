@@ -19,13 +19,6 @@
 //   --replications=R  override the scenario replication count
 //   --warmup=N --measured=N  override the simulation phases
 //   --paper-scale     Sec. 4 phases: 10k warm-up / 100k measured
-//   --parallel-run=K  run every simulation through the conservative
-//                     per-cluster parallel mode with K worker threads
-//                     (DESIGN.md §16; bit-identical for any K >= 1, but a
-//                     distinct deterministic stream from the default
-//                     single-threaded simulator — so it keys the result
-//                     cache digest). Probes work; --trace-out/--explain
-//                     are rejected. 0 (default) = single-threaded.
 //   --no-sim          models only (fast, deterministic)
 //   --knee            add the model saturation-knee column
 //   --find-saturation bisect each (system, params, pattern, relay, flow)
@@ -159,6 +152,15 @@ std::vector<std::string> known_options() {
 int main(int argc, char** argv) {
   const mcs::util::Args args(argc, argv);
 
+  // --parallel-run selected the per-cluster parallel simulator, which is
+  // gone; no flag is close enough in spelling to be suggested, so point
+  // at the one that spreads a sweep over cores.
+  if (args.has("parallel-run")) {
+    std::fprintf(stderr,
+                 "mcs_sweep: unknown option '--parallel-run' (the parallel "
+                 "single-run mode was removed), did you mean '--threads'?\n");
+    return 2;
+  }
   try {
     args.require_known(known_options());
   } catch (const mcs::ConfigError& e) {

@@ -162,75 +162,4 @@ std::span<const GlobalChannelId> RouteTables::cut_through(const MsgRec& m) {
   return path_scratch_;
 }
 
-StopCauseText stop_cause_text(int cause_index) {
-  switch (cause_index) {
-    case 1: return {"events", "event budget exhausted"};
-    case 2: return {"time", "simulated-time budget exhausted"};
-    case 3:
-      return {"worms",
-              "blocked-worm cap exceeded (queues growing without bound)"};
-    case 4:
-      return {"generated",
-              "generation cap exceeded before measured messages drained"};
-    default: return {"", ""};
-  }
-}
-
-void collect_channel_classes(const SimLayout& layout,
-                             std::span<const double> busy,
-                             std::span<const std::uint64_t> traversals,
-                             double duration, SimResult& result) {
-  if (!(duration > 0.0)) return;
-
-  // Flat (key, accumulator) pairs instead of a std::map: the class count
-  // is tiny (network kind x channel kind x level), so a linear probe plus
-  // one final sort reproduces the map's (net, kind, level) output order
-  // without any node allocation.
-  struct Accum {
-    std::int64_t key = 0;
-    std::size_t channels = 0;
-    double util_sum = 0.0;
-    double util_max = 0.0;
-    double rate_sum = 0.0;
-  };
-  std::vector<Accum> classes;
-
-  for (std::size_t c = 0; c < layout.channel_count(); ++c) {
-    const Net& net = layout.nets[static_cast<std::size_t>(layout.channel_net[c])];
-    const auto local = static_cast<topo::ChannelId>(
-        static_cast<GlobalChannelId>(c) - net.base);
-    const topo::Channel& ch = net.net->channel(local);
-    const double util = busy[c] / duration;
-    const double rate = static_cast<double>(traversals[c]) / duration;
-    // Lexicographic (net, kind, level) packed into one sortable key.
-    const std::int64_t key = (static_cast<std::int64_t>(net.kind) << 40) |
-                             (static_cast<std::int64_t>(ch.kind) << 32) |
-                             static_cast<std::uint32_t>(ch.level);
-    auto it = std::find_if(classes.begin(), classes.end(),
-                           [&](const Accum& a) { return a.key == key; });
-    if (it == classes.end()) {
-      classes.push_back(Accum{key, 0, 0.0, 0.0, 0.0});
-      it = classes.end() - 1;
-    }
-    ++it->channels;
-    it->util_sum += util;
-    it->util_max = std::max(it->util_max, util);
-    it->rate_sum += rate;
-  }
-
-  std::sort(classes.begin(), classes.end(),
-            [](const Accum& a, const Accum& b) { return a.key < b.key; });
-  for (const Accum& a : classes) {
-    ChannelClassStat stat;
-    stat.net = static_cast<NetKind>(a.key >> 40);
-    stat.kind = static_cast<topo::ChannelKind>((a.key >> 32) & 0xFF);
-    stat.level = static_cast<int>(a.key & 0xFFFFFFFF);
-    stat.channels = a.channels;
-    stat.mean_utilization = a.util_sum / static_cast<double>(a.channels);
-    stat.max_utilization = a.util_max;
-    stat.mean_message_rate = a.rate_sum / static_cast<double>(a.channels);
-    result.channel_classes.push_back(stat);
-  }
-}
-
 }  // namespace mcs::sim

@@ -1,10 +1,9 @@
-// Shared structural state of a multi-cluster simulation: the canonical
+// Structural state of a multi-cluster simulation: the canonical
 // network registry (ICN1_0, ECN1_0, ..., ICN2) with its global channel
 // numbering and service-time table, the in-flight message record, and the
-// memoized route tables. Factored out of Simulator so the parallel
-// per-cluster simulator (parallel_sim.hpp) builds the EXACT same channel
-// id space and routes without duplicating the construction logic — the
-// sequential golden fingerprints pin that the extraction changed nothing.
+// memoized route tables. Kept apart from Simulator's event loop so the
+// structure (channel id space, service classes, routes) can be built and
+// measured on its own (engine tests, perfbench's route-lookup layer).
 #pragma once
 
 #include <cstdint>
@@ -37,8 +36,7 @@ struct Net {
   GlobalChannelId base;
 };
 
-/// In-flight message; recycled through a free list (and shipped by value
-/// across partition mailboxes in parallel mode).
+/// In-flight message; recycled through a free list.
 struct MsgRec {
   double gen_time = 0.0;
   std::int32_t src_cluster = 0;
@@ -126,24 +124,5 @@ class RouteTables {
   std::vector<topo::ChannelId> route_scratch_;
   std::vector<GlobalChannelId> path_scratch_;
 };
-
-/// (short token, human-readable reason) for each saturation cap, indexed
-/// by the simulator's StopCause value. The long strings predate the token
-/// and are part of the reporting surface; the token is what
-/// replication/sweep aggregation carries forward.
-struct StopCauseText {
-  const char* cause;
-  const char* reason;
-};
-[[nodiscard]] StopCauseText stop_cause_text(int cause_index);
-
-/// Aggregate per-channel busy/traversal counters into the per-class
-/// utilization table of `result` (NetKind x ChannelKind x level), exactly
-/// as the sequential simulator reports them. `busy`/`traversals` are
-/// indexed by global channel id; `duration` is the measured window.
-void collect_channel_classes(const SimLayout& layout,
-                             std::span<const double> busy,
-                             std::span<const std::uint64_t> traversals,
-                             double duration, SimResult& result);
 
 }  // namespace mcs::sim

@@ -64,8 +64,7 @@ struct SimResult {
   std::uint64_t events_processed = 0;
   std::uint64_t worms_spawned = 0;
   /// Pending-event set counters (pushes per source kind, pops, peak
-  /// size). Deterministic integers; in parallel mode the partitions'
-  /// pushes and pops are summed and peak_size is the largest partition's.
+  /// size). Deterministic integers.
   /// Kept out of sweep rows (their stable JSON is digest-pinned).
   EventQueueCounters queue;
 

@@ -8,6 +8,93 @@
 
 namespace mcs::sim {
 
+namespace {
+
+/// (short token, human-readable reason) for each saturation cap, indexed
+/// by StopCause. The long strings predate the token and are part of the
+/// reporting surface; the token is what replication/sweep aggregation
+/// carries forward.
+struct StopCauseText {
+  const char* cause;
+  const char* reason;
+};
+
+StopCauseText stop_cause_text(int cause_index) {
+  switch (cause_index) {
+    case 1: return {"events", "event budget exhausted"};
+    case 2: return {"time", "simulated-time budget exhausted"};
+    case 3:
+      return {"worms",
+              "blocked-worm cap exceeded (queues growing without bound)"};
+    case 4:
+      return {"generated",
+              "generation cap exceeded before measured messages drained"};
+    default: return {"", ""};
+  }
+}
+
+/// Aggregate the engine's per-channel busy/traversal counters over the
+/// measured window (`duration` long) into the per-class utilization
+/// table of `result` (NetKind x ChannelKind x level).
+void collect_channel_classes(const SimLayout& layout,
+                             const WormholeEngine& engine, double duration,
+                             SimResult& result) {
+  if (!(duration > 0.0)) return;
+
+  // Flat (key, accumulator) pairs instead of a std::map: the class count
+  // is tiny (network kind x channel kind x level), so a linear probe plus
+  // one final sort reproduces the map's (net, kind, level) output order
+  // without any node allocation.
+  struct Accum {
+    std::int64_t key = 0;
+    std::size_t channels = 0;
+    double util_sum = 0.0;
+    double util_max = 0.0;
+    double rate_sum = 0.0;
+  };
+  std::vector<Accum> classes;
+
+  for (std::size_t c = 0; c < layout.channel_count(); ++c) {
+    const Net& net =
+        layout.nets[static_cast<std::size_t>(layout.channel_net[c])];
+    const auto id = static_cast<GlobalChannelId>(c);
+    const topo::Channel& ch =
+        net.net->channel(static_cast<topo::ChannelId>(id - net.base));
+    const double util = engine.busy_time(id) / duration;
+    const double rate = static_cast<double>(engine.traversals(id)) / duration;
+    // Lexicographic (net, kind, level) packed into one sortable key.
+    const std::int64_t key = (static_cast<std::int64_t>(net.kind) << 40) |
+                             (static_cast<std::int64_t>(ch.kind) << 32) |
+                             static_cast<std::uint32_t>(ch.level);
+    auto it = std::find_if(classes.begin(), classes.end(),
+                           [&](const Accum& a) { return a.key == key; });
+    if (it == classes.end()) {
+      classes.push_back(Accum{key, 0, 0.0, 0.0, 0.0});
+      it = classes.end() - 1;
+    }
+    ++it->channels;
+    it->util_sum += util;
+    it->util_max = std::max(it->util_max, util);
+    it->rate_sum += rate;
+  }
+
+  std::sort(classes.begin(), classes.end(),
+            [](const Accum& a, const Accum& b) { return a.key < b.key; });
+  for (const Accum& a : classes) {
+    ChannelClassStat stat;
+    stat.net = static_cast<NetKind>(a.key >> 40);
+    stat.kind = static_cast<topo::ChannelKind>((a.key >> 32) & 0xFF);
+    stat.level = static_cast<int>(a.key & 0xFFFFFFFF);
+    stat.channels = a.channels;
+    stat.mean_utilization = a.util_sum / static_cast<double>(a.channels);
+    stat.max_utilization = a.util_max;
+    stat.mean_message_rate = a.rate_sum / static_cast<double>(a.channels);
+    result.channel_classes.push_back(stat);
+  }
+}
+
+}  // namespace
+
 const char* to_string(NetKind kind) {
   switch (kind) {
     case NetKind::kIcn1: return "ICN1";
@@ -238,7 +325,9 @@ SimResult Simulator::run() {
     result.per_cluster_latency.push_back(m.mean());
     result.per_cluster_count.push_back(static_cast<std::int64_t>(m.count()));
   }
-  if (config_.collect_channel_stats) collect_channel_classes(result);
+  if (config_.collect_channel_stats)
+    collect_channel_classes(layout_, engine_,
+                            result.end_time - measure_start_time_, result);
   if (anatomy_ != nullptr) {
     std::vector<double> busy(engine_.channel_count());
     for (std::size_t c = 0; c < busy.size(); ++c)
@@ -512,17 +601,6 @@ void Simulator::apply_warmup_deletion(std::size_t cut) {
   measured_latencies_.erase(
       measured_latencies_.begin(),
       measured_latencies_.begin() + static_cast<std::ptrdiff_t>(cut));
-}
-
-void Simulator::collect_channel_classes(SimResult& result) const {
-  const double duration = result.end_time - measure_start_time_;
-  std::vector<double> busy(engine_.channel_count());
-  std::vector<std::uint64_t> traversals(engine_.channel_count());
-  for (std::size_t c = 0; c < engine_.channel_count(); ++c) {
-    busy[c] = engine_.busy_time(static_cast<GlobalChannelId>(c));
-    traversals[c] = engine_.traversals(static_cast<GlobalChannelId>(c));
-  }
-  sim::collect_channel_classes(layout_, busy, traversals, duration, result);
 }
 
 }  // namespace mcs::sim

@@ -145,6 +145,12 @@ def test_typo_suggestions(h):
           "find-saturation" in proc.stderr,
           f"no closest-match suggestion: {proc.stderr}")
 
+    # A removed flag must fail the same way, never run serially under a
+    # different meaning.
+    proc = h.run("mcs_sweep", SCENARIO, "--parallel-run=2", expect=2)
+    check("parallel-run" in proc.stderr and "--threads" in proc.stderr,
+          f"removed flag not rejected with a suggestion: {proc.stderr}")
+
     proc = h.run("mcs_perf", "--basline=x.json", expect=2)
     check("baseline" in proc.stderr,
           f"mcs_perf typo not suggested: {proc.stderr}")

@@ -44,6 +44,11 @@ TEST(ScenarioNegative, UnknownSweepKeyGetsSuggestion) {
       << msg;
   EXPECT_NE(msg.find("did you mean 'message_flits'"), std::string::npos)
       << msg;
+  // A removed key is rejected too, never ignored.
+  const std::string removed = error_of(
+      "[sweep]\nparallel = 2\nloads = 0.001\n" + std::string(kMinimalSystem));
+  EXPECT_NE(removed.find("unknown [sweep] key 'parallel'"), std::string::npos)
+      << removed;
 }
 
 TEST(ScenarioNegative, UnknownSystemKeyGetsSuggestion) {
