@@ -33,6 +33,12 @@ topo::SystemConfig large_system() {
   return topo::SystemConfig::homogeneous(4, 2, 16);
 }
 
+topo::SystemConfig scale_system() {
+  // The benchmark's scale_32k system: 256 clusters x 128 nodes = 32768
+  // endpoints, whose channel table and route memo outgrow the caches.
+  return topo::SystemConfig::homogeneous(8, 3, 256);
+}
+
 topo::SystemConfig hetero_tech_system() {
   // hetero_tree_system with per-cluster technologies and a skewed load:
   // exercises the per-net service table and per-cluster arrival-rate
@@ -133,6 +139,15 @@ std::vector<PerfScenario> perf_scenarios(bool smoke) {
     s.lambda = 2e-4;
     scenarios.push_back(std::move(s));
   }
+  {
+    PerfScenario s;
+    s.id = "large_system_32k";
+    s.description = "homogeneous m=8 h=3 C=256 (N=32768), single-threaded";
+    s.system = scale_system();
+    s.sim = base;
+    s.lambda = 2e-5;
+    scenarios.push_back(std::move(s));
+  }
   return scenarios;
 }
 
@@ -165,6 +180,7 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
       m.latency_mean = result.latency.mean;
       m.saturated = result.saturated;
       m.queue = result.queue;
+      m.routes = result.routes;
     } else {
       // Same seed + same code must replay the same simulation exactly;
       // a divergence means the build is unsound for benchmarking.
@@ -172,6 +188,7 @@ PerfMeasurement measure(const PerfScenario& scenario, int repeats) {
       MCS_ASSERT(m.worms == result.worms_spawned);
       MCS_ASSERT(m.latency_mean == result.latency.mean);
       MCS_ASSERT(m.queue == result.queue);
+      MCS_ASSERT(m.routes == result.routes);
     }
     m.best_seconds = std::min(m.best_seconds, seconds);
   }
@@ -211,6 +228,16 @@ void write_report_json(const PerfReport& report, std::ostream& out) {
         << ", \"run_pushes\": " << m.queue.run_pushes
         << ", \"pops\": " << m.queue.pops
         << ", \"peak_size\": " << m.queue.peak_size << "},\n";
+    const auto site = [&out](const char* name, const sim::RouteMemoCount& c,
+                             const char* sep) {
+      out << "\"" << name << "\": {\"hits\": " << c.hits
+          << ", \"misses\": " << c.misses << "}" << sep;
+    };
+    out << "      \"route_memo\": {";
+    site("icn1", m.routes.icn1, ", ");
+    site("ecn1_out", m.routes.ecn1_out, ", ");
+    site("icn2", m.routes.icn2, ", ");
+    site("ecn1_in", m.routes.ecn1_in, "},\n");
     out << "      \"probe_decimations\": " << m.probe_decimations << ",\n";
     out << "      \"trace_dropped\": " << m.trace_dropped << "\n";
     out << "    }" << (i + 1 < report.measurements.size() ? "," : "")

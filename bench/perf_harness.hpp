@@ -39,7 +39,9 @@ struct PerfScenario {
 /// store-and-forward}, plus the cut-through relay variant — the same axes
 /// the golden tests pin — and a heterogeneous-parameters scenario
 /// (per-cluster technologies + skewed load, DESIGN.md §10) so the
-/// per-net service and per-cluster rate paths are perf-gated too.
+/// per-net service and per-cluster rate paths are perf-gated too. Two
+/// single-threaded homogeneous systems scale the node count: N=256, and
+/// N=32768, whose channel state and route memo no longer fit in cache.
 /// `smoke` shrinks the phases for CI wall-clock.
 [[nodiscard]] std::vector<PerfScenario> perf_scenarios(bool smoke);
 
@@ -56,6 +58,8 @@ struct PerfMeasurement {
   bool saturated = false;
   /// Pending-event set counters of one repeat (identical across repeats).
   sim::EventQueueCounters queue;
+  /// Route-memo hits/misses per use site of one repeat (identical too).
+  sim::RouteMemoCounters routes;
   /// Flight-recorder health of the untimed instrumented pass (mcs_perf
   /// --probe-out / --trace-out / --explain): how often the probe buffer
   /// decimated and how many trace events were dropped. -1 = the pass did

@@ -1,6 +1,7 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -60,33 +61,36 @@ std::uint16_t service_class(std::vector<double>& distinct, double service) {
   return static_cast<std::uint16_t>(it - distinct.begin());
 }
 
-WormholeEngine::WormholeEngine(std::vector<double> channel_service,
+WormholeEngine::WormholeEngine(const std::vector<double>& channel_service,
                                int message_flits, EventQueue& queue,
                                Listener& listener, FlowControl flow_control,
-                               std::vector<std::uint16_t> channel_class)
-    : service_(std::move(channel_service)),
-      class_(std::move(channel_class)),
-      flits_(message_flits),
+                               const std::vector<std::uint16_t>& channel_class)
+    : flits_(message_flits),
       flow_control_(flow_control),
       queue_(queue),
       listener_(listener),
-      channels_(service_.size()) {
+      channels_(channel_service.size()) {
   MCS_EXPECTS(flits_ >= 1);
-  MCS_EXPECTS(service_.size() <=
+  MCS_EXPECTS(channel_service.size() <=
               static_cast<std::size_t>(EventQueue::kMaxPayload));
-  if (class_.empty()) {
-    std::vector<double> distinct;
-    class_.reserve(service_.size());
-    for (const double s : service_)
-      class_.push_back(service_class(distinct, s));
-  }
-  MCS_EXPECTS(class_.size() == service_.size());
-  for (std::size_t c = 0; c < service_.size(); ++c) {
-    if (class_[c] >= class_crossing_.size())
-      class_crossing_.resize(class_[c] + std::size_t{1}, 0.0);
-    class_crossing_[class_[c]] = flow_control_ == FlowControl::kWormhole
-                                     ? service_[c]
-                                     : flits_ * service_[c];
+  MCS_EXPECTS(channel_class.empty() ||
+              channel_class.size() == channel_service.size());
+  std::vector<double> distinct;  // classes derived here (none handed in)
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    const double s = channel_service[c];
+    const std::uint16_t k = channel_class.empty() ? service_class(distinct, s)
+                                                  : channel_class[c];
+    if (k >= class_service_.size()) {
+      class_service_.resize(k + std::size_t{1},
+                            std::numeric_limits<double>::quiet_NaN());
+      class_crossing_.resize(k + std::size_t{1}, 0.0);
+    }
+    // One service time per class: finish_header reads it per class.
+    if (std::isnan(class_service_[k])) class_service_[k] = s;
+    MCS_EXPECTS(class_service_[k] == s);
+    class_crossing_[k] =
+        flow_control_ == FlowControl::kWormhole ? s : flits_ * s;
+    channels_[c].cls = k;
   }
   lane_base_ = queue_.add_lanes(class_crossing_.size());
   queue_.set_run_capacity(stride_ + 1);
@@ -98,8 +102,8 @@ WormholeEngine::WormholeEngine(std::vector<double> channel_service,
 
 void WormholeEngine::enable_channel_stats() {
   if (!stats_enabled_) {
-    busy_time_.assign(service_.size(), 0.0);
-    traversals_.assign(service_.size(), 0);
+    busy_time_.assign(channels_.size(), 0.0);
+    traversals_.assign(channels_.size(), 0);
   }
   stats_enabled_ = true;
   window_start_ = std::numeric_limits<double>::infinity();
@@ -212,12 +216,17 @@ void WormholeEngine::acquire(WormId id, double now) {
   MCS_ASSERT(ch.holder == Worm::kNoWorm);
   ch.holder = id;
   acquire_pool_[row(id) + hop] = now;
-  const std::uint16_t k = class_[static_cast<std::size_t>(c)];
+  const std::uint16_t k = ch.cls;
   // Wormhole: the header crosses in one flit time. Store-and-forward: the
   // entire message crosses before anything else happens (see
   // class_crossing_).
   queue_.push_lane(lane_base_ + k, now + class_crossing_[k],
                    EventKind::kHeaderAdvance, id);
+  // That advance pops one crossing time from now and requests the next
+  // hop's channel: start loading its record (a pure cache hint).
+  if (hop + 1 < static_cast<std::size_t>(w.len))
+    __builtin_prefetch(
+        &channels_[static_cast<std::size_t>(path_pool_[row(id) + hop + 1])]);
 }
 
 void WormholeEngine::handle(const Event& event) {
@@ -271,10 +280,12 @@ void WormholeEngine::finish_header(WormId id, double now) {
   const double* acquire = acquire_pool_.data() + row(id);
 
   // Hoist the per-hop service times out of the flit loop: one indirect
-  // lookup per hop instead of one per (flit, hop) pair.
+  // lookup per hop instead of one per (flit, hop) pair. The worm holds
+  // every channel of its path, so their records are warm.
   double* const svc = drain_svc_.data();
   for (std::size_t j = 0; j < hops; ++j)
-    svc[j] = service_[static_cast<std::size_t>(path[j])];
+    svc[j] =
+        class_service_[channels_[static_cast<std::size_t>(path[j])].cls];
 
   // Evaluate the drain recurrence. Row f holds start(f, j); the header row
   // is start(0, j) = acquire[j].

@@ -75,11 +75,13 @@ class WormholeEngine {
   /// `channel_class[c]` indexes c's value among the distinct service
   /// times (SimLayout::service_class, classified once per network); each
   /// class gets one FIFO lane of header advances in `queue`. Empty: the
-  /// classes are derived here, channel by channel.
-  WormholeEngine(std::vector<double> channel_service, int message_flits,
-                 EventQueue& queue, Listener& listener,
+  /// classes are derived here, channel by channel. Neither vector is
+  /// kept: the engine stores each channel's class in its ChannelState
+  /// and one service time per class.
+  WormholeEngine(const std::vector<double>& channel_service,
+                 int message_flits, EventQueue& queue, Listener& listener,
                  FlowControl flow_control = FlowControl::kWormhole,
-                 std::vector<std::uint16_t> channel_class = {});
+                 const std::vector<std::uint16_t>& channel_class = {});
 
   /// Pre-size the worm pools: rows for `expected_worms` concurrently live
   /// worms of up to `max_path_len` hops. Purely an allocation hint — the
@@ -117,12 +119,13 @@ class WormholeEngine {
   [[nodiscard]] std::int64_t waiting_worms() const { return waiting_; }
   [[nodiscard]] int message_flits() const { return flits_; }
   [[nodiscard]] FlowControl flow_control() const { return flow_control_; }
-  /// Header-crossing time of channel c: service_[c] under wormhole, a
-  /// full message transmission (flits * service) under store-and-forward
-  /// — the exact per-hop term the acquire/advance events are scheduled
-  /// with, so observers can re-derive hop boundaries bit-exactly.
+  /// Header-crossing time of channel c: its service time under wormhole,
+  /// a full message transmission (flits * service) under
+  /// store-and-forward — the exact per-hop term the acquire/advance
+  /// events are scheduled with, so observers can re-derive hop
+  /// boundaries bit-exactly.
   [[nodiscard]] double crossing_time(GlobalChannelId c) const {
-    return class_crossing_[class_[static_cast<std::size_t>(c)]];
+    return class_crossing_[channels_[static_cast<std::size_t>(c)].cls];
   }
 
   // --- channel statistics (enable before running) -------------------------
@@ -140,15 +143,20 @@ class WormholeEngine {
     return stats_enabled_ ? traversals_[static_cast<std::size_t>(c)] : 0;
   }
   [[nodiscard]] std::size_t channel_count() const {
-    return service_.size();
+    return channels_.size();
   }
 
  private:
-  struct ChannelState {
+  /// Everything one hop reads or writes of its channel, in one 16-byte
+  /// record (DESIGN.md §9.3): at 32k nodes the channel table is far larger
+  /// than the caches, so a hop costs one miss, not one per field array.
+  struct alignas(16) ChannelState {
     WormId holder = Worm::kNoWorm;
-    WormId wait_head = Worm::kNoWorm;
+    WormId wait_head = Worm::kNoWorm;  ///< FIFO of blocked worms
     WormId wait_tail = Worm::kNoWorm;
+    std::uint16_t cls = 0;  ///< crossing class (index of class_service_)
   };
+  static_assert(sizeof(ChannelState) <= 16);
 
   [[nodiscard]] std::size_t row(WormId id) const {
     return static_cast<std::size_t>(id) * stride_;
@@ -162,14 +170,13 @@ class WormholeEngine {
   void finish_header(WormId w, double now);
   void account(GlobalChannelId c, double from, double to);
 
-  std::vector<double> service_;
-  /// Crossing class per channel (see the constructor) and each class's
-  /// header-crossing time: the class's service time under wormhole,
+  /// Per crossing class (ChannelState::cls): the class's service time,
+  /// and its header-crossing time — the service time under wormhole,
   /// flits_ times it under store-and-forward — precomputed so acquire()
   /// pays neither the branch nor the multiply. The header advances of
   /// class k go to FIFO lane lane_base_ + k: pushed at now + a constant
   /// with `now` never decreasing, they arrive in time order.
-  std::vector<std::uint16_t> class_;
+  std::vector<double> class_service_;
   std::vector<double> class_crossing_;
   EventQueue::LaneId lane_base_ = 0;
   int flits_;

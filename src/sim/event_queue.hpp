@@ -233,6 +233,15 @@ class EventQueue {
 
   [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
 
+  /// Payload of the generate lane's earliest event: the node whose
+  /// arrival pops next among kGenerate events. Read-only, so a producer
+  /// can warm that node's state ahead of the pop. The lane must be
+  /// enabled and non-empty.
+  [[nodiscard]] std::int32_t generate_top() const {
+    MCS_EXPECTS(!gen_.empty());
+    return unpack(gen_.front()).a;
+  }
+
   [[nodiscard]] EventQueueCounters counters() const {
     EventQueueCounters c = counters_;
     c.direct_pushes = next_seq_ - c.generate_pushes - c.lane_pushes -

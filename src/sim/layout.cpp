@@ -81,6 +81,7 @@ void RouteTables::init(const topo::MultiClusterTopology& topology,
                        const SimLayout& layout) {
   topology_ = &topology;
   layout_ = &layout;
+  counts_ = {};
   const int clusters = topology.config().cluster_count();
   icn1_routes_.resize(static_cast<std::size_t>(clusters));
   ecn1_to_conc_.resize(static_cast<std::size_t>(clusters));
@@ -96,9 +97,12 @@ void RouteTables::init(const topo::MultiClusterTopology& topology,
 }
 
 std::span<const GlobalChannelId> RouteTables::route_via(
-    RouteSlot& slot, const topo::Network& net, GlobalChannelId base,
-    topo::EndpointId src, topo::EndpointId dst) {
-  if (slot.off < 0) {
+    RouteSlot& slot, RouteMemoCount& count, const topo::Network& net,
+    GlobalChannelId base, topo::EndpointId src, topo::EndpointId dst) {
+  if (slot.off >= 0) {
+    ++count.hits;
+  } else {
+    ++count.misses;
     route_scratch_.clear();
     net.route_into(src, dst, route_scratch_);
     slot.off = static_cast<std::int32_t>(pool_.size());
@@ -116,15 +120,15 @@ std::span<const GlobalChannelId> RouteTables::icn1(const MsgRec& m) {
   return route_via(
       icn1_routes_[sc][static_cast<std::size_t>(m.src_local) * size +
                        static_cast<std::size_t>(m.dst_local)],
-      topology_->icn1(m.src_cluster), layout_->icn1_base[sc], m.src_local,
-      m.dst_local);
+      counts_.icn1, topology_->icn1(m.src_cluster), layout_->icn1_base[sc],
+      m.src_local, m.dst_local);
 }
 
 std::span<const GlobalChannelId> RouteTables::ecn1_out(const MsgRec& m) {
   const auto sc = static_cast<std::size_t>(m.src_cluster);
   return route_via(ecn1_to_conc_[sc][static_cast<std::size_t>(m.src_local)],
-                   topology_->ecn1(m.src_cluster), layout_->ecn1_base[sc],
-                   m.src_local,
+                   counts_.ecn1_out, topology_->ecn1(m.src_cluster),
+                   layout_->ecn1_base[sc], m.src_local,
                    topology_->concentrator_endpoint(m.src_cluster));
 }
 
@@ -133,8 +137,8 @@ std::span<const GlobalChannelId> RouteTables::icn2(const MsgRec& m) {
   const auto dc = static_cast<std::size_t>(m.dst_cluster);
   const auto clusters =
       static_cast<std::size_t>(topology_->config().cluster_count());
-  return route_via(icn2_routes_[sc * clusters + dc], topology_->icn2(),
-                   layout_->icn2_base,
+  return route_via(icn2_routes_[sc * clusters + dc], counts_.icn2,
+                   topology_->icn2(), layout_->icn2_base,
                    topology_->icn2_endpoint(m.src_cluster),
                    topology_->icn2_endpoint(m.dst_cluster));
 }
@@ -143,8 +147,19 @@ std::span<const GlobalChannelId> RouteTables::ecn1_in(const MsgRec& m) {
   const auto dc = static_cast<std::size_t>(m.dst_cluster);
   return route_via(
       ecn1_from_conc_[dc][static_cast<std::size_t>(m.dst_local)],
-      topology_->ecn1(m.dst_cluster), layout_->ecn1_base[dc],
-      topology_->concentrator_endpoint(m.dst_cluster), m.dst_local);
+      counts_.ecn1_in, topology_->ecn1(m.dst_cluster),
+      layout_->ecn1_base[dc], topology_->concentrator_endpoint(m.dst_cluster),
+      m.dst_local);
+}
+
+void RouteTables::prefetch_relay_legs(const MsgRec& m) const {
+  const auto sc = static_cast<std::size_t>(m.src_cluster);
+  const auto dc = static_cast<std::size_t>(m.dst_cluster);
+  const auto clusters =
+      static_cast<std::size_t>(topology_->config().cluster_count());
+  __builtin_prefetch(&icn2_routes_[sc * clusters + dc]);
+  __builtin_prefetch(
+      &ecn1_from_conc_[dc][static_cast<std::size_t>(m.dst_local)]);
 }
 
 std::span<const GlobalChannelId> RouteTables::cut_through(const MsgRec& m) {

@@ -103,6 +103,14 @@ class RouteTables {
   /// (valid until the next cut_through() call).
   [[nodiscard]] std::span<const GlobalChannelId> cut_through(const MsgRec& m);
 
+  /// Cache hint for a store-and-forward external message: start loading
+  /// the icn2() and ecn1_in() slots its legs 2 and 3 will look up, one
+  /// whole leg later. Reads no slot and counts no lookup.
+  void prefetch_relay_legs(const MsgRec& m) const;
+
+  /// Hits and misses per use site since init().
+  [[nodiscard]] const RouteMemoCounters& counters() const { return counts_; }
+
  private:
   /// One memoized route: off/len into pool_ (-1 = not computed yet).
   struct RouteSlot {
@@ -111,8 +119,8 @@ class RouteTables {
   };
 
   [[nodiscard]] std::span<const GlobalChannelId> route_via(
-      RouteSlot& slot, const topo::Network& net, GlobalChannelId base,
-      topo::EndpointId src, topo::EndpointId dst);
+      RouteSlot& slot, RouteMemoCount& count, const topo::Network& net,
+      GlobalChannelId base, topo::EndpointId src, topo::EndpointId dst);
 
   const topo::MultiClusterTopology* topology_ = nullptr;
   const SimLayout* layout_ = nullptr;
@@ -123,6 +131,7 @@ class RouteTables {
   std::vector<GlobalChannelId> pool_;
   std::vector<topo::ChannelId> route_scratch_;
   std::vector<GlobalChannelId> path_scratch_;
+  RouteMemoCounters counts_;
 };
 
 }  // namespace mcs::sim

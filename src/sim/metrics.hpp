@@ -29,6 +29,26 @@ struct ChannelClassStat {
   double mean_message_rate = 0.0;  ///< worms per time unit per channel
 };
 
+/// Route-memo lookups at one use site: hits, and misses (fills).
+struct RouteMemoCount {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  [[nodiscard]] bool operator==(const RouteMemoCount&) const = default;
+};
+
+/// Route-memo lookups per use site (sim::RouteTables). Cut-through
+/// worms count once at each of their three legs' sites. Deterministic
+/// functions of the message stream, pinned like EventQueueCounters.
+struct RouteMemoCounters {
+  RouteMemoCount icn1;
+  RouteMemoCount ecn1_out;
+  RouteMemoCount icn2;
+  RouteMemoCount ecn1_in;
+
+  [[nodiscard]] bool operator==(const RouteMemoCounters&) const = default;
+};
+
 struct SimResult {
   /// Mean end-to-end message latency with a batch-means 95% CI.
   util::ConfidenceInterval latency;
@@ -67,6 +87,8 @@ struct SimResult {
   /// size). Deterministic integers.
   /// Kept out of sweep rows (their stable JSON is digest-pinned).
   EventQueueCounters queue;
+  /// Route-memo hits and misses per use site. Also kept out of sweep rows.
+  RouteMemoCounters routes;
 
   /// Initial-transient deletion (SimConfig::warmup_deletion): measured
   /// messages excluded from the latency statistics beyond the fixed

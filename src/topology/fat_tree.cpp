@@ -8,12 +8,15 @@ namespace mcs::topo {
 FatTree::FatTree(TreeShape shape) : shape_(shape) {
   shape_.validate();
   endpoints_ = static_cast<EndpointId>(shape_.node_count());
+  // k^e for e in [0, n]; validate() bounds 2 * k^n, so none overflows.
+  k_pow_.assign(1, 1);
+  for (int e = 1; e <= shape_.n; ++e) k_pow_.push_back(k_pow_.back() * k());
   build();
 }
 
 SwitchId FatTree::switch_id(int level, std::int32_t group,
                             std::int32_t sigma) const {
-  const std::int64_t sigma_count = checked_pow(shape_.k(), level - 1);
+  const std::int64_t sigma_count = k_pow_[static_cast<std::size_t>(level - 1)];
   return static_cast<SwitchId>(level_offset_[static_cast<std::size_t>(level)] +
                                group * sigma_count + sigma);
 }
@@ -28,8 +31,8 @@ void FatTree::build() {
   for (int level = 1; level <= n; ++level) {
     level_offset_[static_cast<std::size_t>(level)] = offset;
     const std::int64_t groups =
-        level == n ? 1 : 2 * checked_pow(kk, n - level);
-    const std::int64_t sigmas = checked_pow(kk, level - 1);
+        level == n ? 1 : 2 * k_pow_[static_cast<std::size_t>(n - level)];
+    const std::int64_t sigmas = k_pow_[static_cast<std::size_t>(level - 1)];
     for (std::int64_t g = 0; g < groups; ++g) {
       for (std::int64_t s = 0; s < sigmas; ++s) {
         switch_level_.push_back(static_cast<std::int8_t>(level));
@@ -115,7 +118,8 @@ EndpointId FatTree::attach_extra_endpoint() {
 int FatTree::digit(EndpointId e, int position) const {
   MCS_EXPECTS(position >= 1 && position <= shape_.n);
   if (e >= endpoints_) return 0;  // extra endpoints carry address 0...0
-  const std::int64_t div = checked_pow(shape_.k(), shape_.n - position);
+  const std::int64_t div =
+      k_pow_[static_cast<std::size_t>(shape_.n - position)];
   const std::int64_t radix = position == 1 ? 2 * shape_.k() : shape_.k();
   return static_cast<int>((e / div) % radix);
 }

@@ -117,6 +117,7 @@ class FatTree final : public Network {
   EndpointId endpoints_ = 0;
   EndpointId extras_ = 0;
 
+  std::vector<std::int64_t> k_pow_;         ///< k_pow_[e] = k^e, e in [0, n]
   std::vector<std::int64_t> level_offset_;  ///< index: level 1..n
   std::vector<std::int8_t> switch_level_;
   std::vector<std::int32_t> switch_group_;

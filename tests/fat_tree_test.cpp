@@ -128,6 +128,46 @@ TEST_P(FatTreeProperty, ExtraEndpointAttachesToLeafZero) {
   }
 }
 
+TEST_P(FatTreeProperty, AddressArithmeticMatchesDefinition) {
+  // digit(), leaf_switch_of() and the switch numbering against their
+  // arithmetic definitions, for every endpoint (concentrator extras
+  // included), every digit position and every switch.
+  const TreeShape shape = GetParam();
+  const int n = shape.n;
+  const std::int64_t k = shape.k();
+  const auto pow_k = [k](int e) {
+    std::int64_t r = 1;
+    for (int i = 0; i < e; ++i) r *= k;
+    return r;
+  };
+  FatTree tree(shape);
+  tree.attach_extra_endpoint();
+  tree.attach_extra_endpoint();
+  const EndpointId nodes = tree.endpoint_count();
+  for (EndpointId e = 0; e < tree.total_endpoints(); ++e) {
+    for (int pos = 1; pos <= n; ++pos) {
+      const std::int64_t radix = pos == 1 ? 2 * k : k;
+      const std::int64_t want = e >= nodes ? 0 : (e / pow_k(n - pos)) % radix;
+      EXPECT_EQ(tree.digit(e, pos), want) << "e=" << e << " pos=" << pos;
+    }
+    // Leaf switches are numbered first, one per group of k nodes.
+    EXPECT_EQ(tree.leaf_switch_of(e), e >= nodes || n == 1 ? 0 : e / k)
+        << "e=" << e;
+  }
+  std::int64_t below = 0;  // switches on the levels under `level`
+  for (int level = 1; level <= n; ++level) {
+    const std::int64_t sigmas = pow_k(level - 1);
+    for (SwitchId s = 0; s < tree.switch_count(); ++s) {
+      if (tree.switch_level(s) != level) continue;
+      EXPECT_LT(tree.switch_sigma(s), sigmas);
+      EXPECT_EQ(s, below + tree.switch_group(s) * sigmas + tree.switch_sigma(s))
+          << "switch " << s;
+    }
+    below += shape.switches_at_level(level);
+  }
+  EXPECT_EQ(below, tree.switch_count());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FatTreeProperty,
     ::testing::Values(TreeShape{2, 1}, TreeShape{2, 3}, TreeShape{4, 1},
@@ -135,8 +175,11 @@ INSTANTIATE_TEST_SUITE_P(
                       TreeShape{6, 2}, TreeShape{8, 1}, TreeShape{8, 2},
                       TreeShape{8, 3}),
     [](const ::testing::TestParamInfo<TreeShape>& param_info) {
-      return "m" + std::to_string(param_info.param.m) + "n" +
-             std::to_string(param_info.param.n);
+      std::string name = "m";  // appends: no GCC 12 -Wrestrict false alarm
+      name += std::to_string(param_info.param.m);
+      name += "n";
+      name += std::to_string(param_info.param.n);
+      return name;
     });
 
 TEST(FatTree, KnownSmallTopologyLayout) {

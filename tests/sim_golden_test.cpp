@@ -193,5 +193,60 @@ TEST(SimGolden, PendingSetCountersStoreAndForwardFatTree) {
             "peak=38");
 }
 
+/// The route memo's hits and misses per use site of one run: like the
+/// queue counters, pure functions of the message stream.
+std::string route_fingerprint(const topo::SystemConfig& system,
+                              SimConfig cfg) {
+  topo::MultiClusterTopology topology(system);
+  model::NetworkParams params;
+  Simulator sim(topology, params, 2e-4, std::move(cfg));
+  const RouteMemoCounters r = sim.run().routes;
+  const auto site = [](const char* name, const RouteMemoCount& c) {
+    return std::string(name) + "=" + std::to_string(c.hits) + "/" +
+           std::to_string(c.misses);
+  };
+  return site("icn1", r.icn1) + " " + site("ecn1_out", r.ecn1_out) + " " +
+         site("icn2", r.icn2) + " " + site("ecn1_in", r.ecn1_in);
+}
+
+TEST(SimGolden, RouteMemoCountersWormholeFatTree) {
+  EXPECT_EQ(route_fingerprint(tree_system(), golden_config()),
+            "icn1=462/317 ecn1_out=1389/32 icn2=1415/6 ecn1_in=1389/32");
+}
+
+TEST(SimGolden, RouteMemoCountersCutThroughRelay) {
+  // One merged worm per external message still looks up all three legs.
+  SimConfig cfg = golden_config();
+  cfg.relay_mode = RelayMode::kCutThrough;
+  EXPECT_EQ(route_fingerprint(tree_system(), std::move(cfg)),
+            "icn1=462/317 ecn1_out=1389/32 icn2=1415/6 ecn1_in=1389/32");
+}
+
+TEST(SimGolden, LargeHomogeneousFatTree) {
+  // N = 32768 (256 clusters of 128 nodes): the only golden whose channel
+  // state and route memo are far larger than the caches, at the
+  // benchmark's scale_32k system and load with short phases.
+  topo::MultiClusterTopology topology(
+      topo::SystemConfig::homogeneous(8, 3, 256));
+  SimConfig cfg = golden_config();
+  cfg.warmup_messages = 2000;
+  cfg.measured_messages = 20000;
+  cfg.batch_size = 1000;
+  Simulator sim(topology, model::NetworkParams{}, 2e-5, std::move(cfg));
+  const SimResult r = sim.run();
+  const EventQueueCounters& q = r.queue;
+  EXPECT_EQ("mean=" + hex(r.latency.mean) + " p99=" + hex(r.latency_p99) +
+                " events=" + std::to_string(r.events_processed) +
+                " worms=" + std::to_string(r.worms_spawned) +
+                " generate=" + std::to_string(q.generate_pushes) +
+                " direct=" + std::to_string(q.direct_pushes) +
+                " lane=" + std::to_string(q.lane_pushes) +
+                " run=" + std::to_string(q.run_pushes) +
+                " peak=" + std::to_string(q.peak_size),
+            "mean=0x1.d7d965b65ea74p+5 p99=0x1.55b2136b371cp+6 "
+            "events=912296 worms=65975 generate=54815 direct=0 "
+            "lane=412283 run=478217 peak=33175");
+}
+
 }  // namespace
 }  // namespace mcs::sim
